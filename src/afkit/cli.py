@@ -7,7 +7,8 @@ standard competition interface: ``-p TASK-SEM -f file -fo tgf|apx
 the competition runner, the scorer, and an engine-versus-oracle check.
 
 Solver exit codes: 0 answer printed, 1 usage error, 2 input parse failure,
-3 illegal task, 4 budget exceeded.
+3 illegal task, 4 budget exceeded, 5 internal error (a one-line message on
+standard error, no traceback).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_ILLEGAL_TASK = 3
 EXIT_TIMEOUT = 4
+EXIT_INTERNAL = 5
 
 
 class _UsageError(Exception):
@@ -118,6 +120,8 @@ def solver_main(argv: list[str] | None = None) -> int:
         return _fail(f"af-solver: {exc}", EXIT_ILLEGAL_TASK)
     except SolverTimeoutError as exc:
         return _fail(f"af-solver: {exc}", EXIT_TIMEOUT)
+    except Exception as exc:
+        return _fail(f"af-solver: internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL)
 
     sys.stdout.write(write_answer(answer))
     sys.stdout.flush()

@@ -2,11 +2,19 @@
 
 The search decides, argument by argument, whether it is accepted (IN) or
 not; propagation forces an argument IN once all of its attackers are OUT and
-OUT once some attacker is IN, and prunes on contradiction. A finished branch
-is checked against the fixpoint condition for complete labellings, so every
-complete labelling is emitted exactly once. Preferred, semi-stable, stage
-and ideal reasoning filter the enumerated candidates by set or range
+OUT once some attacker is IN, and prunes on contradiction. Propagation is
+event-driven: a node carries its OUT set, each round looks only at the
+arguments that have just gone IN, and the only candidates for being forced
+IN are the targets of the arguments that have just gone OUT. A finished
+branch is checked against the fixpoint condition for complete labellings,
+so every complete labelling is emitted exactly once. Preferred, semi-stable,
+stage and ideal reasoning filter the enumerated candidates by set or range
 maximality afterwards.
+
+``SE-CO`` and ``DS-CO`` never search: the grounded extension is the least
+complete extension, so it is the exhibited one, and an argument is
+skeptically accepted under the complete semantics iff it is grounded. Both
+take time linear in the size of the framework.
 
 Answers are deterministic: the branching order is fixed (maximum degree
 first, ties by index), so repeated runs return identical output.
@@ -56,54 +64,66 @@ def complete_labellings(
 
     With ``require`` set, only labellings whose IN set contains it are
     explored, which turns the same search into a superset existence check.
+    The search runs on an explicit stack, so framework size is not bounded
+    by the interpreter's recursion limit.
     """
     full = af.all_mask
     attackers = af.attacker_masks
     attacked = af.attacked_masks
     order = _branch_order(af)
+    unattacked = 0
+    for a in range(af.n):
+        if not attackers[a]:
+            unattacked |= 1 << a
 
-    def propagate(in_mask: int, banned: int):
-        while True:
-            out = 0
-            for a in bits(in_mask):
-                out |= attacked[a]
-                banned |= attackers[a]  # attackers of IN arguments can never be IN
-            if (out | banned) & in_mask:
-                return None
-            banned |= out
-            forced = 0
-            for a in bits(full & ~in_mask):
-                if not attackers[a] & ~out:  # every attacker is OUT
-                    forced |= 1 << a
-            if forced & banned:
-                return None  # forced IN but committed to not-IN
-            if not forced:
-                return in_mask, banned, out
-            in_mask |= forced
-
-    def search(in_mask: int, banned: int) -> Iterator[Labelling]:
+    # A node is (IN, banned, OUT, attackers of IN, newly IN, position in
+    # the branch order). Banned arguments can never be IN: they are OUT,
+    # attack an IN argument, or were branched to not-IN. Propagation starts
+    # from the newly IN arguments only; the rest of the node is already a
+    # fixpoint. Free arguments only shrink along a branch, so the next pick
+    # is never earlier in the branch order than the last one.
+    root = require | unattacked
+    stack = [(root, 0, 0, 0, root, 0)]
+    while stack:
         if time.monotonic() > deadline:
             raise SolverTimeoutError("labelling search exceeded its budget")
-        state = propagate(in_mask, banned)
-        if state is None:
-            return
-        in_mask, banned, out = state
+        in_mask, banned, out, need, new, pos = stack.pop()
+        while new:
+            new_out = 0
+            for a in bits(new):
+                new_out |= attacked[a]
+                need |= attackers[a]
+            new_out &= ~out
+            out |= new_out
+            banned |= need | out
+            if banned & in_mask:
+                break
+            # Only a target of a newly OUT argument can have just lost its
+            # last attacker that is not OUT.
+            not_out = ~out
+            new = 0
+            for a in bits(af.attacked_by(new_out) & ~in_mask):
+                if not attackers[a] & not_out:
+                    new |= 1 << a
+            if new & banned:
+                break  # forced IN but committed to not-IN
+            in_mask |= new
+        if new:
+            continue  # contradiction
         free = full & ~(in_mask | banned)
         if not free:
             # Leaf. Propagation guarantees that nothing outside IN is
             # defended; IN arguments committed by branching still need their
             # attackers to have ended up OUT.
-            for a in bits(in_mask):
-                if attackers[a] & ~out:
-                    return
-            yield Labelling(in_mask, out, full & ~(in_mask | out))
-            return
-        pick = next(a for a in order if free >> a & 1)
-        bit = 1 << pick
-        yield from search(in_mask | bit, banned)
-        yield from search(in_mask, banned | bit)
-
-    yield from search(require, 0)
+            if not need & ~out:
+                yield Labelling(in_mask, out, full & ~(in_mask | out))
+            continue
+        while not free >> order[pos] & 1:
+            pos += 1
+        bit = 1 << order[pos]
+        # Last pushed is explored first: the IN child, then the not-IN one.
+        stack.append((in_mask, banned | bit, out, need, 0, pos + 1))
+        stack.append((in_mask | bit, banned, out, need, bit, pos + 1))
 
 
 def conflict_free_sets(
@@ -126,23 +146,26 @@ def conflict_free_sets(
         if attackers[a] >> a & 1:
             self_loops |= 1 << a
 
-    def search(in_mask: int, banned: int) -> Iterator[int]:
+    stack = [(0, self_loops, 0)]  # (IN, banned, position in the branch order)
+    while stack:
         if time.monotonic() > deadline:
             raise SolverTimeoutError("conflict-free enumeration exceeded its budget")
+        in_mask, banned, pos = stack.pop()
         free = full & ~(in_mask | banned)
         if not free:
-            if maximal_only:
-                for b in bits(full & ~in_mask & ~self_loops):
-                    if not (attackers[b] | attacked[b]) & in_mask:
-                        return  # b could still join, so in_mask is not maximal
+            if maximal_only and any(
+                not (attackers[b] | attacked[b]) & in_mask
+                for b in bits(full & ~in_mask & ~self_loops)
+            ):
+                continue  # some b could still join, so in_mask is not maximal
             yield in_mask
-            return
-        pick = next(a for a in order if free >> a & 1)
+            continue
+        while not free >> order[pos] & 1:
+            pos += 1
+        pick = order[pos]
         bit = 1 << pick
-        yield from search(in_mask | bit, banned | attackers[pick] | attacked[pick])
-        yield from search(in_mask, banned | bit)
-
-    yield from search(0, self_loops)
+        stack.append((in_mask, banned | bit, pos + 1))
+        stack.append((in_mask | bit, banned | attackers[pick] | attacked[pick], pos + 1))
 
 
 def maximal_filter(
@@ -232,7 +255,7 @@ def solve(af: ArgumentationFramework, task: TaskSpec, budget: float | None = Non
 
     if problem is Problem.SE:
         if semantics is Semantics.CO:
-            found = next(complete_labellings(af, deadline)).in_mask
+            found = grounded_extension(af)
         elif semantics is Semantics.ST:
             lab = next(_stable_labellings(af, deadline), None)
             if lab is None:
@@ -258,7 +281,7 @@ def solve(af: ArgumentationFramework, task: TaskSpec, budget: float | None = Non
 
     # DS; over an empty extension set (stable only) acceptance is vacuous.
     if semantics is Semantics.CO:
-        return Decision(all(lab.in_mask & bit for lab in complete_labellings(af, deadline)))
+        return Decision(bool(grounded_extension(af) & bit))
     if semantics is Semantics.ST:
         return Decision(all(lab.in_mask & bit for lab in _stable_labellings(af, deadline)))
     return Decision(all(ext & bit for ext in extensions(af, semantics, deadline)))

@@ -1,6 +1,8 @@
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afkit.approx import accuracy_report, approx_decide, grounded_extension
 from afkit.formats import Decision
@@ -17,6 +19,33 @@ def test_grounded_examples(worked_example):
     af = chain()
     assert grounded_extension(af) == af.mask_of(["a", "c"])
     assert grounded_extension(ArgumentationFramework([], [])) == 0
+
+
+def _defense_fixpoint(af):
+    # Reference: iterate the defense operator from the empty set.
+    current = 0
+    while True:
+        defended = af.defended_by(current)
+        if defended == current:
+            return current
+        current = defended
+
+
+@st.composite
+def frameworks_with_self_attacks(draw, max_args=30):
+    n = draw(st.integers(min_value=0, max_value=max_args))
+    pairs = []
+    if n:
+        node = st.integers(0, n - 1)
+        pairs = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+        pairs += [(a, a) for a in draw(st.lists(node, max_size=n // 3))]
+    return ArgumentationFramework([f"a{i}" for i in range(n)], pairs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(frameworks_with_self_attacks())
+def test_grounded_equals_defense_fixpoint(af):
+    assert grounded_extension(af) == _defense_fixpoint(af)
 
 
 def test_decision_rule_examples(worked_example):

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from afkit import cli
 from afkit.cli import solver_main, toolbox_main
 from afkit.formats import parse_answer, parse_apx
 from afkit.tasks import Problem
@@ -110,6 +111,31 @@ def test_solver_main_in_process(worked_files, capsys):
     assert code == 0
     assert captured.out == "3\n"
     assert captured.err == ""
+
+
+def test_deep_search_has_no_recursion_limit(tmp_path):
+    # 1500 disjoint 2-cycles: the first branch of the search is 1500 deep.
+    lines = [f"arg(a{i})." for i in range(3000)]
+    for k in range(0, 3000, 2):
+        lines += [f"att(a{k},a{k + 1}).", f"att(a{k + 1},a{k})."]
+    cycles = tmp_path / "cycles.apx"
+    cycles.write_text("\n".join(lines) + "\n")
+    proc = run_solver("-p", "DC-CO", "-f", str(cycles), "-fo", "apx", "-a", "a0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "YES\n"
+
+
+def test_internal_error_exits_five(worked_files, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("engine fault")
+
+    monkeypatch.setattr(cli, "solve", broken)
+    apx, _ = worked_files
+    code = solver_main(["-p", "SE-PR", "-f", str(apx), "-fo", "apx"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 5
+    assert captured.out == ""
+    assert captured.err == "af-solver: internal error: RuntimeError: engine fault\n"
 
 
 GEN_CONFIG = """

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from afkit.approx import grounded_extension
 from afkit.engine import (
     SolverTimeoutError,
     complete_labellings,
@@ -12,7 +13,7 @@ from afkit.engine import (
     maximal_filter,
     solve,
 )
-from afkit.formats import CountAnswer, ExtensionAnswer, write_answer
+from afkit.formats import CountAnswer, Decision, ExtensionAnswer, write_answer
 from afkit.framework import ArgumentationFramework
 from afkit.oracle import BruteForceOracle
 from afkit.tasks import Problem, Semantics, TaskSpec, exact_track_tasks
@@ -81,6 +82,19 @@ def test_require_seed_restricts_search(worked_example):
     seed = worked_example.mask_of(["a2"])
     labs = list(complete_labellings(worked_example, require=seed))
     assert [lab.in_mask for lab in labs] == [seed]
+
+
+def test_require_equals_filtered_enumeration(corpus):
+    # The Validator's superset search: restricting the search to labellings
+    # containing a set yields exactly those of the full enumeration, in order.
+    rng = random.Random(404)
+    for af, _ in corpus[:300]:
+        full = list(complete_labellings(af))
+        seeds = [lab.in_mask for lab in full] + [1 << a for a in range(af.n)]
+        seeds += [rng.getrandbits(af.n) & rng.getrandbits(af.n) for _ in range(3)]
+        for seed in seeds:
+            expected = [lab for lab in full if not seed & ~lab.in_mask]
+            assert list(complete_labellings(af, require=seed)) == expected
 
 
 def test_conflict_free_enumeration_matches_oracle(corpus, corpus_oracles):
@@ -182,6 +196,46 @@ def _big_framework(n=60, seed=5):
     rng = random.Random(seed)
     arcs = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.08]
     return ArgumentationFramework([f"a{i}" for i in range(n)], arcs)
+
+
+def _large_chain(n=5000):
+    return ArgumentationFramework([f"a{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+
+
+def _large_layered(n=5000, layers=10, seed=9):
+    # Acyclic: every attack goes from one layer to the next.
+    rng = random.Random(seed)
+    width = n // layers
+    arcs = [
+        (layer * width + rng.randrange(width), (layer + 1) * width + rng.randrange(width))
+        for layer in range(layers - 1)
+        for _ in range(2 * width)
+    ]
+    return ArgumentationFramework([f"a{i}" for i in range(n)], arcs)
+
+
+@pytest.mark.parametrize("build", [_large_chain, _large_layered])
+def test_grounded_tasks_past_the_oracle_cap(build):
+    # An acyclic framework has one complete extension, the grounded one, so
+    # SE-CO returns it and both acceptance problems are grounded membership.
+    af = build()
+    grounded = grounded_extension(af)
+    assert af.is_complete_set(grounded)
+    if build is _large_chain:
+        assert grounded == af.mask_of(af.names[::2])
+
+    def timed(task):
+        start = time.monotonic()
+        answer = solve(af, task)
+        assert time.monotonic() - start < 1.0, task.label
+        return answer
+
+    se = timed(TaskSpec(Problem.SE, Semantics.CO))
+    assert af.mask_of(se.names) == grounded
+    for query in (af.names[0], af.names[1], af.names[af.n // 2 + 1], af.names[-1]):
+        member = Decision(bool(grounded >> af.index_of(query) & 1))
+        assert timed(TaskSpec(Problem.DC, Semantics.CO, query)) == member
+        assert timed(TaskSpec(Problem.DS, Semantics.CO, query)) == member
 
 
 def test_timeout_raised_not_partial():

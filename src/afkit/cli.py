@@ -4,11 +4,15 @@
 standard competition interface: ``-p TASK-SEM -f file -fo tgf|apx
 [-a query]``, one answer on standard output, diagnostics on standard error.
 ``af-toolbox`` (also ``python -m afkit``) bundles the benchmark generator,
-the competition runner, the scorer, and an engine-versus-oracle check.
+the competition runner, the scorer, and an engine-versus-oracle check. Each
+toolbox command imports the runner, generator or oracle when it runs, so the
+solver path, started once per competition task, imports only the solver
+modules.
 
-Solver exit codes: 0 answer printed, 1 usage error, 2 input parse failure,
-3 illegal task, 4 budget exceeded, 5 internal error (a one-line message on
-standard error, no traceback).
+Solver exit codes: 0 answer printed, 1 usage error, 2 input file unreadable,
+not valid text (such as non-UTF-8 bytes) or not parsable, 3 illegal task,
+4 budget exceeded, 5 internal error (a one-line message on standard error,
+no traceback).
 """
 
 from __future__ import annotations
@@ -17,12 +21,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import benchgen, harness
 from .approx import approx_decide
 from .engine import SolverTimeoutError, solve
 from .formats import INPUT_FORMATS, ParseError, parse_framework, write_answer
-from .oracle import BruteForceOracle, DEFAULT_CAP
 from .tasks import (
+    EXTERNAL_SEMANTICS,
     IllegalTaskError,
     Problem,
     Semantics,
@@ -106,6 +109,8 @@ def solver_main(argv: list[str] | None = None) -> int:
         text = Path(args.f).read_text()
     except OSError as exc:
         return _fail(f"af-solver: cannot read {args.f}: {exc}", EXIT_PARSE)
+    except UnicodeDecodeError as exc:
+        return _fail(f"af-solver: {args.f}: {exc}", EXIT_PARSE)
     try:
         af = parse_framework(text, args.fo)
     except ParseError as exc:
@@ -129,6 +134,8 @@ def solver_main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from . import benchgen
+
     config = benchgen.parse_config(Path(args.config).read_text())
     instances = benchgen.generate_corpus(config, args.count, Path(args.out))
     print(f"wrote {len(instances)} instances to {args.out}", file=sys.stderr)
@@ -136,6 +143,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from . import harness
+
     solvers = harness.load_solver_manifest(Path(args.solvers))
     instances = harness.discover_instances(Path(args.instances))
     if not instances:
@@ -154,8 +163,6 @@ def _cmd_run(args) -> int:
 
 
 def _parse_subtracks(text: str | None) -> tuple[Semantics, ...]:
-    from .tasks import EXTERNAL_SEMANTICS
-
     if not text:
         return EXTERNAL_SEMANTICS
     chosen = []
@@ -169,6 +176,8 @@ def _parse_subtracks(text: str | None) -> tuple[Semantics, ...]:
 
 
 def _cmd_score(args) -> int:
+    from . import harness
+
     records, meta = harness.read_runlog(Path(args.runlog))
     track = args.track or meta.get("track")
     if track not in harness.TRACKS:
@@ -185,6 +194,9 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    from . import harness
+    from .oracle import BruteForceOracle
+
     instances = harness.discover_instances(Path(args.instances))
     if not instances:
         print(f"af-toolbox oracle-check: no instances in {args.instances}", file=sys.stderr)
@@ -224,6 +236,9 @@ def _cmd_oracle_check(args) -> int:
 
 
 def toolbox_main(argv: list[str] | None = None) -> int:
+    from . import harness
+    from .oracle import DEFAULT_CAP
+
     parser = _Parser(prog="af-toolbox", description="benchmark and competition toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
 

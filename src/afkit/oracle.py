@@ -86,10 +86,6 @@ class BruteForceOracle:
         self._base_sets()
         return list(self._sets["CF"])
 
-    def admissible_sets(self) -> list[int]:
-        self._base_sets()
-        return list(self._sets["ADM"])
-
     def extensions(self, semantics: Semantics) -> list[int]:
         """All extensions of ``semantics``, ascending by bitmask."""
         key = semantics.value

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -38,16 +38,6 @@ EXTERNAL_SEMANTICS: tuple[Semantics, ...] = (
     Semantics.ID,
 )
 
-# Subtracks with the full problem set; ID is special-cased everywhere because
-# the ideal extension is unique (counting is trivial, DC and DS coincide).
-MULTI_EXTENSION_SEMANTICS: tuple[Semantics, ...] = (
-    Semantics.CO,
-    Semantics.PR,
-    Semantics.ST,
-    Semantics.SST,
-    Semantics.STG,
-)
-
 
 class IllegalTaskError(ValueError):
     """A problem/semantics combination that is not solvable as asked."""
@@ -66,9 +56,6 @@ class TaskSpec:
     @property
     def label(self) -> str:
         return f"{self.problem.value}-{self.semantics.value}"
-
-    def with_query(self, query: str | None) -> "TaskSpec":
-        return replace(self, query=query)
 
 
 def parse_task(text: str, query: str | None = None) -> TaskSpec:

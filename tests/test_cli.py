@@ -77,6 +77,34 @@ def test_parse_failures_exit_two(tmp_path):
     assert proc.returncode == 2
 
 
+def test_non_utf8_input_exits_two(tmp_path):
+    for fmt, text in (("apx", b"arg(a).\narg(\xff).\n"), ("tgf", b"1\n\xff\n#\n")):
+        path = tmp_path / f"bad.{fmt}"
+        path.write_bytes(text)
+        proc = run_solver("-p", "SE-CO", "-f", str(path), "-fo", fmt)
+        assert proc.returncode == 2, fmt
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"af-solver: {path}: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_solver_path_skips_toolbox_imports(tmp_path):
+    tiny = tmp_path / "tiny.apx"
+    tiny.write_text("arg(a).\narg(b).\natt(a,b).\n")
+    script = (
+        "import sys\n"
+        "from afkit import cli\n"
+        f"code = cli.solver_main(['-p', 'SE-CO', '-f', {str(tiny)!r}, '-fo', 'apx'])\n"
+        "print(sorted(m for m in ('afkit.harness', 'afkit.benchgen') if m in sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[a]\n[]\n"
+
+
 def test_unknown_query_exits_three(worked_files):
     apx, _ = worked_files
     proc = run_solver("-p", "DC-CO", "-f", str(apx), "-fo", "apx", "-a", "zz")
